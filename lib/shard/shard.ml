@@ -609,19 +609,24 @@ module Coordinator = struct
             `Next
           | _ -> await_result (job, epoch))
     in
-    let rec serve_lease ~consumed =
-      let proceed =
-        if consumed then `Lease
-        else
-          (* The next lease op follows a result within microseconds;
-             silence here means the worker died between the two. *)
-          match read_budget c srv.cfg.heartbeat_grace_s with
-          | `Frame j when Json.str_or "" (Json.member "op" j) = "lease" ->
-            `Lease
-          | `Frame _ | `Eof | `Silent ->
+    (* The next lease op follows a result within microseconds; silence
+       here means the worker died between the two. A heartbeat that
+       raced its own result is skipped, not taken for a broken peer. *)
+    let rec await_lease () =
+      match read_budget c srv.cfg.heartbeat_grace_s with
+      | `Frame j -> (
+          match Json.str_or "" (Json.member "op" j) with
+          | "lease" -> `Lease
+          | "heartbeat" -> await_lease ()
+          | _ ->
             dead_with None;
-            `Stop
-      in
+            `Stop)
+      | `Eof | `Silent ->
+        dead_with None;
+        `Stop
+    in
+    let rec serve_lease ~consumed =
+      let proceed = if consumed then `Lease else await_lease () in
       match proceed with
       | `Stop -> ()
       | `Lease -> (
@@ -858,20 +863,51 @@ module Worker = struct
     in
     go ()
 
+  (* The job the worker is solving right now, as the ticker sees it. *)
+  type lease = {
+    ls_job : int;
+    ls_epoch : int;
+    ls_deadline : float;
+    ls_cancel : bool Atomic.t;
+    mutable ls_last_beat : float;
+  }
+
   let run cfg =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());
     let fd = connect_retry cfg.socket_path cfg.connect_timeout_s in
     let r = Wire.reader fd in
-    (* The heartbeat thread and the job loop share the socket; a mutex
-       keeps their frames from interleaving mid-line. *)
+    (* [wlock] serialises every socket write and guards [current]. The
+       job loop clears [current] under it before sending a result, and
+       the ticker sends a heartbeat only while holding it with the lease
+       still registered, so no heartbeat for a lease can follow that
+       lease's result frame. *)
     let wlock = Mutex.create () in
-    let send j =
-      Mutex.lock wlock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock wlock) @@ fun () ->
-      Wire.send_frame fd j
+    let current = ref None in
+    let send j = Mutex.protect wlock (fun () -> Wire.send_frame fd j) in
+    let set_lease l = Mutex.protect wlock (fun () -> current := l) in
+    (* One ticker for the worker's lifetime: heartbeats the registered
+       lease every [heartbeat_s] and cancels it at its deadline. Nothing
+       on the result path waits for it; only [run]'s exit joins it. *)
+    let tick_once () =
+      Mutex.protect wlock @@ fun () ->
+      match !current with
+      | None -> ()
+      | Some l ->
+        let now = Unix.gettimeofday () in
+        if now >= l.ls_deadline then Atomic.set l.ls_cancel true;
+        if now -. l.ls_last_beat >= cfg.heartbeat_s then begin
+          l.ls_last_beat <- now;
+          try
+            Wire.send_frame fd
+              (Json.Obj
+                 [ ("op", Json.Str "heartbeat");
+                   ("worker", Json.Str cfg.name);
+                   ("job", Json.Int l.ls_job);
+                   ("epoch", Json.Int l.ls_epoch) ])
+          with Unix.Unix_error _ -> ()
+        end
     in
-    let send_safe j = try send j with Unix.Unix_error _ -> () in
     let pool = Parallel.Pool.create ~workers:cfg.pool_workers () in
     let cache = Aqed.Check.create_cache () in
     let leases = ref 0 and completed = ref 0 in
@@ -890,10 +926,11 @@ module Worker = struct
            ("epoch", Json.Int epoch) ]
          @ fields)
     in
-    (* Solve one leased job on this worker's own pool, streaming
-       heartbeats, the deadline enforced through the same cooperative
-       cancellation as the daemon's. Every lease ends in exactly one
-       result frame. *)
+    (* Solve one leased job on this worker's own pool, the ticker
+       heartbeating it and enforcing its deadline through the same
+       cooperative cancellation as the daemon's. The lease is registered
+       only once the spec resolves, so a hung resolve is heartbeat
+       silence. Every lease ends in exactly one result frame. *)
     let do_job j =
       let id = Json.int_or 0 (Json.member "job" j) in
       let epoch = Json.int_or 0 (Json.member "epoch" j) in
@@ -915,35 +952,17 @@ module Worker = struct
              [ ("outcome", Json.Str "error"); ("message", Json.Str m) ])
       | Ok (spec, design, ob) ->
         let cancel = Atomic.make false in
-        let deadline = Unix.gettimeofday () +. timeout_s in
-        let hb_stop = Atomic.make false in
-        let hb_th =
-          Thread.create
-            (fun () ->
-              let last = ref 0. in
-              while not (Atomic.get hb_stop) do
-                let now = Unix.gettimeofday () in
-                if now >= deadline then Atomic.set cancel true;
-                if now -. !last >= cfg.heartbeat_s then begin
-                  last := now;
-                  send_safe
-                    (Json.Obj
-                       [ ("op", Json.Str "heartbeat");
-                         ("worker", Json.Str cfg.name);
-                         ("job", Json.Int id);
-                         ("epoch", Json.Int epoch) ])
-                end;
-                Thread.delay 0.05
-              done)
-            ()
-        in
+        set_lease
+          (Some
+             {
+               ls_job = id;
+               ls_epoch = epoch;
+               ls_deadline = Unix.gettimeofday () +. timeout_s;
+               ls_cancel = cancel;
+               ls_last_beat = 0.;
+             });
         let t0 = Unix.gettimeofday () in
         let outcome =
-          Fun.protect
-            ~finally:(fun () ->
-              Atomic.set hb_stop true;
-              Thread.join hb_th)
-          @@ fun () ->
           try
             Telemetry.Span.with_ "shard.job"
               ~args:
@@ -969,6 +988,7 @@ module Worker = struct
           with e -> `Error ("uncaught: " ^ Printexc.to_string e)
         in
         let wall = Unix.gettimeofday () -. t0 in
+        set_lease None;
         (match outcome with
          | `Done oblig ->
            incr completed;
@@ -1009,9 +1029,24 @@ module Worker = struct
                 ())
           | _ -> loop ())
     in
-    (match send lease_op with
-     | () -> loop ()
-     | exception Unix.Unix_error _ -> ());
+    let ticker_stop = Atomic.make false in
+    let ticker =
+      Thread.create
+        (fun () ->
+          while not (Atomic.get ticker_stop) do
+            tick_once ();
+            Thread.delay 0.05
+          done)
+        ()
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set ticker_stop true;
+        Thread.join ticker)
+      (fun () ->
+        match send lease_op with
+        | () -> loop ()
+        | exception Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Parallel.Pool.shutdown pool;
     {

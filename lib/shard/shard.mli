@@ -142,7 +142,12 @@ module Worker : sig
             becomes a typed error result for the submitting client. *)
     store : Store.t option;  (** the fleet-shared verdict store *)
     pool_workers : int;      (** width of this worker's domain pool *)
-    heartbeat_s : float;     (** heartbeat period while solving *)
+    heartbeat_s : float;
+        (** heartbeat period while solving, floored at 0.05 s. One ticker
+            thread per worker sends the heartbeats and enforces the job
+            deadline; it is off the result path — a result is sent as
+            soon as the solve returns, never after a timer — and no
+            heartbeat for a lease follows that lease's result frame. *)
     connect_timeout_s : float;
         (** how long to retry connecting — a worker may be spawned
             before the coordinator has bound its socket *)
@@ -154,7 +159,8 @@ module Worker : sig
     resolve:(Serve.job_spec -> (string * Aqed.Check.obligation, string) result) ->
     string -> config
   (** [config ~resolve socket_path]. Defaults: name ["w<pid>"], no
-      store, pool width 1, 1 s heartbeat, 30 s connect retry budget. *)
+      store, pool width 1, 1 s heartbeat (at least 0.05 s), 30 s connect
+      retry budget. *)
 
   type summary = {
     wk_leases : int;
@@ -164,12 +170,24 @@ module Worker : sig
   }
 
   val run : config -> summary
-  (** Connect (with retry), then loop: lease, solve through
-      {!Aqed.Check.run_batch} on this worker's own pool (store-mediated
-      when a store is given), stream heartbeats, report the result,
-      lease again — until the coordinator sends [drain] or its socket
-      closes. Per-job deadlines are enforced worker-side through the
-      solver's cooperative cancellation, exactly like the daemon's
+  (** Connect (with retry), then loop: lease, resolve the spec,
+      solve through {!Aqed.Check.run_batch} on this worker's own pool
+      (store-mediated when a store is given), report the result, lease
+      again — until the coordinator sends [drain] or its socket closes.
+
+      One ticker thread lives as long as [run]: while a resolved job is
+      registered with it, it heartbeats that lease every [heartbeat_s]
+      and cancels the solve at the job's deadline. The lease is
+      registered only after the spec resolves (a hung resolve is
+      heartbeat silence, so the coordinator re-queues it) and cleared
+      as soon as [run_batch] returns, under the same lock as every
+      socket write; the result frame follows at once, and no heartbeat
+      for that lease can come after it. The reported [wall_s] covers
+      [run_batch] only. The ticker is stopped and joined once, when
+      [run] returns.
+
+      Per-job deadlines are enforced worker-side through the solver's
+      cooperative cancellation, exactly like the daemon's
       ({!Sat.Solver.Cancelled} becomes a [timeout] result; the pool
       survives). Raises [Failure] when the coordinator cannot be
       reached within [connect_timeout_s]. *)

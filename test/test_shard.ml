@@ -80,12 +80,13 @@ let with_coord ?(capacity = 8) ?(job_timeout_s = 120.)
 
 (* A healthy in-process worker: runs the real lease loop on a thread,
    exits when the coordinator drains. *)
-let start_worker ?name ?(resolve = resolve) sock =
+let start_worker ?name ?heartbeat_s ?(resolve = resolve) sock =
   Thread.create
     (fun () ->
       try
         ignore
-          (Shard.Worker.run (Shard.Worker.config ?name ~resolve sock))
+          (Shard.Worker.run
+             (Shard.Worker.config ?name ?heartbeat_s ~resolve sock))
       with _ -> ())
     ()
 
@@ -215,6 +216,136 @@ let test_no_worker_pending_grace () =
     summary.Shard.Coordinator.st_completed;
   check_balance summary
 
+(* ---- per-job overhead ---- *)
+
+(* A small job that takes a few milliseconds on the worker's pool, hit or
+   miss: its builder, which run_batch forces, sleeps first. *)
+let resolve_small_job spec =
+  Result.map
+    (fun (d, _) ->
+      ( d,
+        Aqed.Check.prepare_fc ~max_depth:spec.Serve.sj_depth ~cnt_width:8
+          (fun () ->
+            Unix.sleepf 0.005;
+            echo ()) ))
+    (resolve spec)
+
+(* Nothing on the result path may wait for the heartbeat timer: with a
+   50-ms beat, 40 back-to-back small jobs must finish inside 40 beats,
+   and each job's reported wall must fit in what its client saw. *)
+let test_no_heartbeat_rounding () =
+  let jobs = 40 and step = 0.05 in
+  let (total, walls), summary =
+    with_coord "rounding" (fun sock _srv ->
+        let w =
+          start_worker ~name:"r1" ~heartbeat_s:step ~resolve:resolve_small_job
+            sock
+        in
+        let r =
+          with_client sock (fun c ->
+              let t0 = Unix.gettimeofday () in
+              let walls =
+                List.init jobs (fun _ ->
+                    let s = Unix.gettimeofday () in
+                    match
+                      Serve.Client.submit c (Serve.job_spec ~depth:6 "echo")
+                    with
+                    | Serve.Client.Completed (_, wall, _) ->
+                      (wall, Unix.gettimeofday () -. s)
+                    | _ -> Alcotest.fail "echo job did not complete")
+              in
+              (Unix.gettimeofday () -. t0, walls))
+        in
+        (r, w))
+      |> fun ((r, w), summary) ->
+      Thread.join w;
+      (r, summary)
+  in
+  Alcotest.(check int) "all completed" jobs
+    summary.Shard.Coordinator.st_completed;
+  Alcotest.(check int) "no deaths" 0 summary.Shard.Coordinator.st_worker_deaths;
+  Alcotest.(check int) "no requeues" 0 summary.Shard.Coordinator.st_requeued;
+  Alcotest.(check int) "no stale results" 0
+    summary.Shard.Coordinator.st_stale_results;
+  if total >= float_of_int jobs *. step then
+    Alcotest.failf "%d jobs took %.3fs: rounded up to heartbeat steps" jobs
+      total;
+  List.iteri
+    (fun i (wall, seen) ->
+      if wall > seen then
+        Alcotest.failf "job %d reported wall %.4fs > client-observed %.4fs" i
+          wall seen)
+    walls;
+  check_balance summary
+
+(* ---- a heartbeat that trails its own result is not a dead worker ---- *)
+
+(* A raw-socket worker: leases, answers its job, then sends a late
+   heartbeat for the finished lease before leasing again. The
+   coordinator must skip the heartbeat and hand out the next job. *)
+let test_late_heartbeat_after_result () =
+  let module Json = Report.Json in
+  let payload =
+    Report.Journal.json_of_obligation
+      (Report.Journal.of_report ~design:"echo"
+         (Aqed.Check.run_obligation (ob_fc ~depth:6 ())))
+  in
+  let fake_worker sock =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    let r = Serve.Wire.reader fd in
+    let send fields = Serve.Wire.send_frame fd (Json.Obj fields) in
+    let lease () =
+      send
+        [ ("op", Json.Str "lease"); ("worker", Json.Str "raw");
+          ("pid", Json.Int 0) ]
+    in
+    let next_frame () =
+      match Serve.Wire.read_frame r with
+      | Some j -> j
+      | None -> Alcotest.fail "coordinator closed the worker connection"
+    in
+    let answer job =
+      let id = Json.member "job" job and epoch = Json.member "epoch" job in
+      send
+        [ ("op", Json.Str "result"); ("worker", Json.Str "raw");
+          ("job", id); ("epoch", epoch); ("outcome", Json.Str "done");
+          ("wall_s", Json.Float 0.); ("obligation", payload) ];
+      (id, epoch)
+    in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    lease ();
+    let id, epoch = answer (next_frame ()) in
+    send
+      [ ("op", Json.Str "heartbeat"); ("worker", Json.Str "raw");
+        ("job", id); ("epoch", epoch) ];
+    lease ();
+    let second = next_frame () in
+    ignore (answer second);
+    lease ();
+    let last = next_frame () in
+    ( Json.str_or "" (Json.member "frame" second),
+      Json.str_or "" (Json.member "frame" last) )
+  in
+  let frames, summary =
+    with_coord ~pending_grace_s:5. "lateheartbeat" (fun sock srv ->
+        let result = ref ("", "") in
+        let w = Thread.create (fun () -> result := fake_worker sock) () in
+        with_client sock (fun c ->
+            for _ = 1 to 2 do
+              ignore (submit_ok c (Serve.job_spec ~depth:6 "echo"))
+            done);
+        Shard.Coordinator.stop srv;
+        Thread.join w;
+        !result)
+  in
+  Alcotest.(check (pair string string)) "next job, then drain"
+    ("job", "drain") frames;
+  Alcotest.(check int) "two completed" 2
+    summary.Shard.Coordinator.st_completed;
+  Alcotest.(check int) "no deaths" 0 summary.Shard.Coordinator.st_worker_deaths;
+  check_balance summary
+
 let suite =
   ( "shard",
     [
@@ -224,4 +355,8 @@ let suite =
         test_worker_deadline_typed_timeout;
       Alcotest.test_case "no worker: pending job gets a typed error" `Quick
         test_no_worker_pending_grace;
+      Alcotest.test_case "no per-job heartbeat rounding (40 jobs, 50-ms beat)"
+        `Quick test_no_heartbeat_rounding;
+      Alcotest.test_case "late heartbeat after a result keeps the worker"
+        `Quick test_late_heartbeat_after_result;
     ] )
