@@ -31,11 +31,6 @@ type report = {
          a portfolio race, the member that finished first *)
 }
 
-let pp_outcome fmt = function
-  | Cex t -> Format.fprintf fmt "counterexample at depth %d" (Trace.length t)
-  | Bounded_ok k -> Format.fprintf fmt "no counterexample up to depth %d" k
-  | Proved k -> Format.fprintf fmt "proved by %d-induction" k
-
 let outcome_label = function
   | Cex _ -> "cex"
   | Bounded_ok _ -> "bounded_ok"

@@ -256,8 +256,6 @@ val prove :
     (no unique-state constraints), so [Bounded_ok] may be returned at the
     bound even for true properties. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val pp_certificate : Format.formatter -> certificate -> unit
 
 val obligation_key :

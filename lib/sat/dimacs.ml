@@ -80,11 +80,6 @@ let to_string cnf =
     cnf.clauses;
   Buffer.contents b
 
-let write_file path cnf =
-  let oc = open_out path in
-  output_string oc (to_string cnf);
-  close_out oc
-
 let load_into solver cnf =
   if Solver.nb_vars solver <> 0 then
     invalid_arg "Dimacs.load_into: solver already has variables";

@@ -17,8 +17,6 @@ val parse_file : string -> cnf
 
 val to_string : cnf -> string
 
-val write_file : string -> cnf -> unit
-
 val load_into : Solver.t -> cnf -> unit
 (** Allocates [nvars] variables in the solver and adds every clause. The
     solver must be fresh (no variables allocated yet). *)

@@ -346,6 +346,103 @@ let test_late_heartbeat_after_result () =
   Alcotest.(check int) "no deaths" 0 summary.Shard.Coordinator.st_worker_deaths;
   check_balance summary
 
+(* ---- malformed client line: typed error in fleet mode too ---- *)
+
+(* The daemon's malformed-frame steps, against a coordinator: one reader
+   serves both modes, so a garbled client line gets a typed [error]
+   frame and a close, and the fleet keeps serving new clients. *)
+let test_malformed_frame_isolation () =
+  let (), summary =
+    with_coord "malformed" (fun sock _srv ->
+        let w = start_worker ~name:"m1" sock in
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () ->
+            try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX sock);
+            let garbage = Bytes.of_string "this is not json\n" in
+            ignore (Unix.write fd garbage 0 (Bytes.length garbage));
+            let buf = Bytes.create 4096 in
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            let j = Report.Json.of_string (String.trim (Bytes.sub_string buf 0 n)) in
+            Alcotest.(check string) "typed error frame" "error"
+              (Report.Json.str_or "" (Report.Json.member "frame" j));
+            Alcotest.(check bool) "names the parse error" true
+              (String.starts_with ~prefix:"parse error:"
+                 (Report.Json.str_or "" (Report.Json.member "message" j)));
+            Alcotest.(check int) "connection closed" 0
+              (Unix.read fd buf 0 (Bytes.length buf)));
+        with_client sock (fun c ->
+            let o = submit_ok c (Serve.job_spec ~depth:8 "echo") in
+            Alcotest.(check string) "fleet survived" "clean"
+              o.Report.Journal.ob_verdict);
+        [ w ])
+      |> fun (ws, summary) ->
+      List.iter Thread.join ws;
+      ((), summary)
+  in
+  Alcotest.(check int) "one completed" 1 summary.Shard.Coordinator.st_completed;
+  Alcotest.(check int) "no worker deaths" 0
+    summary.Shard.Coordinator.st_worker_deaths;
+  check_balance summary
+
+(* ---- the mode boundary: what tells the two executors apart ---- *)
+
+let status_keys c =
+  match Serve.Client.status c with
+  | Report.Json.Obj kvs -> List.map fst kvs
+  | _ -> Alcotest.fail "status is not an object"
+
+let common_keys =
+  [ "frame"; "active"; "queued"; "capacity"; "accepted"; "completed";
+    "timeouts"; "rejected"; "errors"; "draining" ]
+
+(* In-process: exactly the ten common status keys, and a worker's
+   [lease] op is an unknown op. Fleet: the ten plus seven fleet
+   counters. Accounting balances in both. *)
+let test_mode_boundary () =
+  let sock = tmp_path "boundary.sock" in
+  let srv =
+    Serve.start
+      (Serve.config ~workers:1 ~idle_timeout_s:10. ~resolve sock)
+  in
+  let lease_reply =
+    Fun.protect
+      ~finally:(fun () -> Serve.stop srv)
+      (fun () ->
+        with_client sock (fun c ->
+            ignore (submit_ok c (Serve.job_spec ~depth:6 "echo"));
+            Alcotest.(check (list string)) "in-process status keys"
+              common_keys (status_keys c));
+        with_client sock (fun c ->
+            Serve.Client.send c
+              (Report.Json.Obj
+                 [ ("op", Report.Json.Str "lease");
+                   ("worker", Report.Json.Str "w");
+                   ("pid", Report.Json.Int 0) ]);
+            Serve.Client.recv c))
+  in
+  let sm = Serve.wait srv in
+  Alcotest.(check string) "lease is an error in-process" "error"
+    (Report.Json.str_or "" (Report.Json.member "frame" lease_reply));
+  Alcotest.(check string) "unknown op" {|unknown op "lease"|}
+    (Report.Json.str_or "" (Report.Json.member "message" lease_reply));
+  Alcotest.(check int) "in-process accepted = completed + timeouts + errors"
+    sm.Serve.sm_accepted
+    (sm.Serve.sm_completed + sm.Serve.sm_timeouts + sm.Serve.sm_errors);
+  Alcotest.(check int) "one completed in-process" 1 sm.Serve.sm_completed;
+  let keys, summary =
+    with_coord "boundary" (fun sock _srv ->
+        with_client sock status_keys)
+  in
+  Alcotest.(check (list string)) "fleet status keys"
+    (common_keys
+     @ [ "workers"; "leased"; "leases"; "steals"; "requeued";
+         "worker_deaths"; "stale_results" ])
+    keys;
+  check_balance summary
+
 let suite =
   ( "shard",
     [
@@ -359,4 +456,8 @@ let suite =
         `Quick test_no_heartbeat_rounding;
       Alcotest.test_case "late heartbeat after a result keeps the worker"
         `Quick test_late_heartbeat_after_result;
+      Alcotest.test_case "malformed client line: typed error, fleet survives"
+        `Quick test_malformed_frame_isolation;
+      Alcotest.test_case "mode boundary: status keys and the lease op"
+        `Quick test_mode_boundary;
     ] )
