@@ -895,6 +895,9 @@ let sat_suite () =
         (fun () -> Accel.Dualpath.build ~bug:true ()) );
   ]
 
+let m_inprocess_propagations =
+  Telemetry.Counter.make "sat.inprocess_propagations"
+
 let print_sat () =
   pf "\n== Solver modernization A/B (legacy vs modern CDCL) ==\n";
   pf "%s\n" (line 96);
@@ -909,7 +912,13 @@ let print_sat () =
         let legacy =
           Aqed.Check.run_obligation ~solver:Bmc.Engine.legacy_config ob
         in
+        (* The modern leg's propagations split into search and between-frame
+           inprocessing; the solver stats carry only their sum. *)
+        let inprocess0 = Telemetry.Counter.get m_inprocess_propagations in
         let modern = Aqed.Check.run_obligation ob in
+        let inprocess =
+          Telemetry.Counter.get m_inprocess_propagations - inprocess0
+        in
         journal_add
           [ Report.Journal.Obligation
               (Report.Journal.of_report ~design:name
@@ -950,6 +959,7 @@ let print_sat () =
             ("speedup", Num (if mw > 0. then lw /. mw else 0.));
             ("solver_legacy", json_of_solver_stats legacy.Aqed.Check.solver_stats);
             ("solver_modern", json_of_solver_stats ms);
+            ("inprocess_propagations_modern", Int inprocess);
           ])
       (sat_suite ())
   in

@@ -151,6 +151,10 @@ type t = {
   mutable n_lbd_local : int;
   mutable n_reductions : int;
   mutable n_vivified : int;
+  (* [n_propagations] when the last [simplify_inplace] returned (0 before
+     the first): the default inprocessing budget is a share of the search
+     spent since then. *)
+  mutable inprocess_end : int;
   (* Telemetry: wall-clock start and conflict count at [solve] entry, so the
      progress hook can report conflicts/sec for the current solve. *)
   mutable solve_t0 : float;
@@ -159,7 +163,9 @@ type t = {
 
 (* Global telemetry series, bumped by the per-solve deltas at solve exit (the
    CDCL loop itself keeps plain per-solver fields and stays untouched).
-   Reductions and vivification are rare events bumped at the event site. *)
+   Reductions and vivification are rare events bumped at the event site;
+   [sat.inprocess_propagations] takes each [simplify_inplace]'s spend, which
+   [sat.propagations] (search only) leaves out. *)
 let m_conflicts = Telemetry.Counter.make "sat.conflicts"
 let m_decisions = Telemetry.Counter.make "sat.decisions"
 let m_propagations = Telemetry.Counter.make "sat.propagations"
@@ -169,6 +175,8 @@ let m_lbd_mid = Telemetry.Counter.make "sat.lbd_mid"
 let m_lbd_local = Telemetry.Counter.make "sat.lbd_local"
 let m_reductions = Telemetry.Counter.make "sat.reductions"
 let m_vivified = Telemetry.Counter.make "sat.vivified"
+let m_inprocess_propagations =
+  Telemetry.Counter.make "sat.inprocess_propagations"
 
 let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     ?(phase_saving = true) ?(restarts = Luby) ?(reduce_first = 2000)
@@ -227,6 +235,7 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     n_lbd_local = 0;
     n_reductions = 0;
     n_vivified = 0;
+    inprocess_end = 0;
     solve_t0 = 0.;
     solve_c0 = 0;
   }
@@ -860,147 +869,166 @@ let reduce_db s =
    the external checker never deletes, so the original clause remains
    available as a premise. Nothing this pass derives falls outside RUP,
    hence nothing needs disabling under [enable_proof]. *)
-let simplify_inplace ?(budget = 30_000) s =
-  if s.ok then
-    Telemetry.Span.with_ "sat.simplify"
-      ~args:[ ("budget", Telemetry.Int budget) ]
-      ~end_args:(fun () ->
-        [ ("vivified_total", Telemetry.Int s.n_vivified) ])
-    @@ fun () ->
-    cancel_until s 0;
-    s.last_assumptions <- [||];
-    if propagate s != dummy_clause then begin
-      s.ok <- false;
-      if s.proof_enabled then record_proof s []
-    end
-    else begin
-      (* Probing must not pollute the saved phases. *)
-      let saving = s.phase_saving in
-      s.phase_saving <- false;
-      let p0 = s.n_propagations in
-      let over () = s.n_propagations - p0 > budget in
-      let vivify c =
-        c.deleted <- true;
-        Vec.push s.trail_lim s.trail_size;
-        let n = Array.length c.lits in
-        let kept = ref [] in
-        (try
-           for j = 0 to n - 1 do
-             let l = c.lits.(j) in
-             if lit_sat s l then begin
-               (* The kept prefix propagates l: prefix @ [l] subsumes. *)
-               kept := l :: !kept;
+let vivify_and_sweep s ~budget =
+  cancel_until s 0;
+  s.last_assumptions <- [||];
+  if propagate s != dummy_clause then begin
+    s.ok <- false;
+    if s.proof_enabled then record_proof s []
+  end
+  else begin
+    (* Probing must not pollute the saved phases. *)
+    let saving = s.phase_saving in
+    s.phase_saving <- false;
+    let p0 = s.n_propagations in
+    (* [>=]: a zero budget probes no clause. *)
+    let over () = s.n_propagations - p0 >= budget in
+    let vivify c =
+      c.deleted <- true;
+      Vec.push s.trail_lim s.trail_size;
+      let n = Array.length c.lits in
+      let kept = ref [] in
+      (try
+         for j = 0 to n - 1 do
+           let l = c.lits.(j) in
+           if lit_sat s l then begin
+             (* The kept prefix propagates l: prefix @ [l] subsumes. *)
+             kept := l :: !kept;
+             raise Exit
+           end
+           else if lit_false s l then () (* implied false: drop l *)
+           else begin
+             kept := l :: !kept;
+             enqueue s (-l) dummy_clause;
+             if propagate s != dummy_clause then
+               (* Negating the prefix is contradictory: prefix is RUP. *)
                raise Exit
-             end
-             else if lit_false s l then () (* implied false: drop l *)
-             else begin
-               kept := l :: !kept;
-               enqueue s (-l) dummy_clause;
-               if propagate s != dummy_clause then
-                 (* Negating the prefix is contradictory: prefix is RUP. *)
-                 raise Exit
-             end
-           done
-         with Exit -> ());
-        cancel_until s 0;
-        let kept = List.rev !kept in
-        if List.length kept < n then Some kept
-        else begin
-          c.deleted <- false;
-          None
+           end
+         done
+       with Exit -> ());
+      cancel_until s 0;
+      let kept = List.rev !kept in
+      if List.length kept < n then Some kept
+      else begin
+        c.deleted <- false;
+        None
+      end
+    in
+    let apply c kept =
+      s.n_vivified <- s.n_vivified + 1;
+      Telemetry.Counter.incr m_vivified;
+      if s.proof_enabled then record_proof s kept;
+      match kept with
+      | [] -> s.ok <- false
+      | [ l ] ->
+        if lit_false s l then begin
+          s.ok <- false;
+          if s.proof_enabled then record_proof s []
         end
+        else if not (lit_sat s l) then begin
+          enqueue s l dummy_clause;
+          if propagate s != dummy_clause then begin
+            s.ok <- false;
+            if s.proof_enabled then record_proof s []
+          end
+        end
+      | _ :: _ :: _ ->
+        let c' =
+          { lits = Array.of_list kept; learnt = c.learnt;
+            cla_act = c.cla_act;
+            lbd = min (max 1 c.lbd) (List.length kept - 1);
+            deleted = false }
+        in
+        (* Attached by the rebuild below; the original stays deleted. *)
+        Vec.push (if c'.learnt then s.learnts else s.clauses) c'
+    in
+    let probe vec =
+      (* Snapshot the size: shortened replacements pushed past it are not
+         re-probed this round. *)
+      let n = Vec.size vec in
+      let i = ref 0 in
+      while s.ok && (not (over ())) && !i < n do
+        let c = Vec.get vec !i in
+        incr i;
+        if (not c.deleted) && Array.length c.lits >= 3 then
+          match vivify c with
+          | Some kept -> apply c kept
+          | None -> ()
+      done
+    in
+    probe s.learnts;
+    probe s.clauses;
+    s.phase_saving <- saving;
+    (* Root simplification + watch rebuild: drop satisfied clauses, strip
+       root-false literals (each strip is itself a RUP step), reattach the
+       survivors, then propagate to a fixpoint. *)
+    if s.ok then begin
+      let units = ref [] in
+      let strip vec =
+        for i = 0 to Vec.size vec - 1 do
+          let c = Vec.get vec i in
+          if not c.deleted then
+            if Array.exists (lit_sat s) c.lits then c.deleted <- true
+            else if Array.exists (lit_false s) c.lits then begin
+              let lits =
+                Array.of_list
+                  (List.filter
+                     (fun l -> not (lit_false s l))
+                     (Array.to_list c.lits))
+              in
+              if s.proof_enabled then record_proof s (Array.to_list lits);
+              match Array.length lits with
+              | 0 ->
+                s.ok <- false;
+                c.deleted <- true
+              | 1 ->
+                units := lits.(0) :: !units;
+                c.deleted <- true
+              | _ -> c.lits <- lits
+            end
+        done
       in
-      let apply c kept =
-        s.n_vivified <- s.n_vivified + 1;
-        Telemetry.Counter.incr m_vivified;
-        if s.proof_enabled then record_proof s kept;
-        match kept with
-        | [] -> s.ok <- false
-        | [ l ] ->
+      strip s.clauses;
+      strip s.learnts;
+      rebuild_watches s;
+      List.iter
+        (fun l ->
           if lit_false s l then begin
             s.ok <- false;
             if s.proof_enabled then record_proof s []
           end
-          else if not (lit_sat s l) then begin
-            enqueue s l dummy_clause;
-            if propagate s != dummy_clause then begin
-              s.ok <- false;
-              if s.proof_enabled then record_proof s []
-            end
-          end
-        | _ :: _ :: _ ->
-          let c' =
-            { lits = Array.of_list kept; learnt = c.learnt;
-              cla_act = c.cla_act;
-              lbd = min (max 1 c.lbd) (List.length kept - 1);
-              deleted = false }
-          in
-          (* Attached by the rebuild below; the original stays deleted. *)
-          Vec.push (if c'.learnt then s.learnts else s.clauses) c'
-      in
-      let probe vec =
-        (* Snapshot the size: shortened replacements pushed past it are not
-           re-probed this round. *)
-        let n = Vec.size vec in
-        let i = ref 0 in
-        while s.ok && (not (over ())) && !i < n do
-          let c = Vec.get vec !i in
-          incr i;
-          if (not c.deleted) && Array.length c.lits >= 3 then
-            match vivify c with
-            | Some kept -> apply c kept
-            | None -> ()
-        done
-      in
-      probe s.learnts;
-      probe s.clauses;
-      s.phase_saving <- saving;
-      (* Root simplification + watch rebuild: drop satisfied clauses, strip
-         root-false literals (each strip is itself a RUP step), reattach the
-         survivors, then propagate to a fixpoint. *)
-      if s.ok then begin
-        let units = ref [] in
-        let strip vec =
-          for i = 0 to Vec.size vec - 1 do
-            let c = Vec.get vec i in
-            if not c.deleted then
-              if Array.exists (lit_sat s) c.lits then c.deleted <- true
-              else if Array.exists (lit_false s) c.lits then begin
-                let lits =
-                  Array.of_list
-                    (List.filter
-                       (fun l -> not (lit_false s l))
-                       (Array.to_list c.lits))
-                in
-                if s.proof_enabled then record_proof s (Array.to_list lits);
-                match Array.length lits with
-                | 0 ->
-                  s.ok <- false;
-                  c.deleted <- true
-                | 1 ->
-                  units := lits.(0) :: !units;
-                  c.deleted <- true
-                | _ -> c.lits <- lits
-              end
-          done
-        in
-        strip s.clauses;
-        strip s.learnts;
-        rebuild_watches s;
-        List.iter
-          (fun l ->
-            if lit_false s l then begin
-              s.ok <- false;
-              if s.proof_enabled then record_proof s []
-            end
-            else if not (lit_sat s l) then enqueue s l dummy_clause)
-          !units;
-        if s.ok && propagate s != dummy_clause then begin
-          s.ok <- false;
-          if s.proof_enabled then record_proof s []
-        end
+          else if not (lit_sat s l) then enqueue s l dummy_clause)
+        !units;
+      if s.ok && propagate s != dummy_clause then begin
+        s.ok <- false;
+        if s.proof_enabled then record_proof s []
       end
     end
+  end
+
+(* The default budget is paid out of the search: [inprocess_permille] of
+   the propagations spent since the previous call returned (since creation
+   for the first). Inprocessing then stays a small share of every solve: a
+   small obligation buys little vivification, a heavy one proportionally
+   more, and a call with no search since the last one vivifies nothing. *)
+let inprocess_permille = 50
+
+let simplify_inplace ?budget s =
+  let p_entry = s.n_propagations in
+  let budget =
+    match budget with
+    | Some b -> b
+    | None -> (p_entry - s.inprocess_end) * inprocess_permille / 1000
+  in
+  if s.ok then
+    Telemetry.Span.with_ "sat.simplify"
+      ~args:[ ("budget", Telemetry.Int budget) ]
+      ~end_args:(fun () ->
+        [ ("vivified_total", Telemetry.Int s.n_vivified);
+          ("propagations", Telemetry.Int (s.n_propagations - p_entry)) ])
+      (fun () -> vivify_and_sweep s ~budget);
+  Telemetry.Counter.add m_inprocess_propagations (s.n_propagations - p_entry);
+  s.inprocess_end <- s.n_propagations
 
 (* ---- Luby restart sequence ---- *)
 

@@ -16,10 +16,10 @@
     [sat.simplify] span) and its statistic deltas feed the global [sat.*]
     counters — including the glue-tier tallies [sat.lbd_core] /
     [sat.lbd_mid] / [sat.lbd_local] and the maintenance counters
-    [sat.reductions] / [sat.vivified]; the cancellation-poll site doubles as
-    the {!Telemetry.Progress} sampling hook, reporting conflicts/sec during
-    long solves. All of it is a few atomic reads per call site when telemetry
-    is disabled (the default). *)
+    [sat.reductions] / [sat.vivified] / [sat.inprocess_propagations]; the
+    cancellation-poll site doubles as the {!Telemetry.Progress} sampling
+    hook, reporting conflicts/sec during long solves. All of it is a few
+    atomic reads per call site when telemetry is disabled (the default). *)
 
 type t
 
@@ -39,6 +39,13 @@ type restart_style =
 type stats = {
   decisions : int;
   propagations : int;
+      (** every literal propagated on this solver: the search's, the
+          inprocessing's ({!simplify_inplace}) and the root-level
+          propagation of units passed to {!add_clause}. The telemetry
+          counters split it: [sat.propagations] is bumped by {!solve} and
+          {!solve_limited} with their search only, and
+          [sat.inprocess_propagations] by {!simplify_inplace} with its own
+          spend; the [add_clause] units are in neither. *)
   conflicts : int;
   restarts : int;
   learned : int;
@@ -119,13 +126,22 @@ val solve_limited : ?assumptions:int list -> conflicts:int -> t -> result option
 
 val simplify_inplace : ?budget:int -> t -> unit
 (** Inprocessing between solves: conflict-free, propagation-budgeted clause
-    {e vivification} ([budget] caps the propagations spent, default 30000).
-    Each candidate clause is probed literal by literal under the negation of
-    its prefix, with the clause itself unwatched; a conflict or an already
-    true literal proves a shorter clause, a false literal drops out. The
-    pass finishes with a root-level database simplification (satisfied
-    clauses dropped, root-false literals stripped) and a full watch-list
-    rebuild. Equivalence-preserving: verdicts and models are unaffected.
+    {e vivification}. [budget] caps the propagations spent on probing; the
+    budget is checked between clauses, so the last probe may overrun it by
+    at most one clause's propagations. By default the budget is
+    {!inprocess_permille} per mille of the propagations this solver spent
+    since the previous [simplify_inplace] returned (since {!create} for the
+    first call): inprocessing is paid out of the search, so a small search
+    buys little vivification and a second call with no search in between
+    vivifies nothing.
+
+    Each candidate clause is probed literal by literal under the negation
+    of its prefix, with the clause itself unwatched; a conflict or an
+    already true literal proves a shorter clause, a false literal drops
+    out. The pass finishes with a root-level database simplification
+    (satisfied clauses dropped, root-false literals stripped) and a full
+    watch-list rebuild. Equivalence-preserving: verdicts and models are
+    unaffected.
 
     Interaction with proof logging: every shortened clause is RUP with
     respect to a formula that still contains the original clause, so each
@@ -133,7 +149,16 @@ val simplify_inplace : ?budget:int -> t -> unit
     protocol ({!mark} / {!clauses_since} / {!proof_since}) keeps certifying
     — an external checker never deletes, so originals remain premises.
     Nothing this pass derives falls outside RUP, hence nothing is disabled
-    under {!enable_proof}. The BMC engine calls this between frames. *)
+    under {!enable_proof}. The BMC engine calls this between frames.
+
+    Its propagations are counted in {!stats}[.propagations] and published
+    as the [sat.inprocess_propagations] counter and as the [propagations]
+    end argument of its [sat.simplify] span. *)
+
+val inprocess_permille : int
+(** The share of the search's propagations, in per mille, that the default
+    {!simplify_inplace} budget may spend (50, i.e. 5%). A constant, not an
+    option: it is exposed so tests can state the bound. *)
 
 val set_cancel : t -> bool Atomic.t -> unit
 (** Registers a cancellation flag shared with other domains. The CDCL loop

@@ -70,12 +70,18 @@ let test_random_3sat () =
 (* The incremental shape: clauses arrive in batches, solves run under
    assumption lists that share prefixes with the previous call (so the
    warm-start path is exercised), and inprocessing fires between solves.
-   The legacy solver sees the identical sequence without inprocessing. *)
+   The legacy solver sees the identical sequence without inprocessing.
+   The modern solver's proof log is replayed step by step through the
+   incremental RUP checker, the way [--certify] replays BMC frames: every
+   learned and vivified clause must be RUP, and an Unsat answer must make
+   the negated assumptions RUP. *)
 let test_incremental_fuzz () =
   let rng = P.create 0xBEEF in
   for round = 1 to 20 do
     let nvars = 12 + P.below rng 17 in
     let modern = S.create () in
+    S.enable_proof modern;
+    let ck = Sat.Rup.create ~nvars () in
     let legacy = S.create ~legacy:true () in
     for _ = 1 to nvars do
       ignore (S.new_var modern);
@@ -84,6 +90,7 @@ let test_incremental_fuzz () =
     let added = ref [] in
     let assumptions = ref [] in
     for step = 1 to 25 do
+      let m = S.mark modern in
       let batch =
         List.init
           (1 + P.below rng 5)
@@ -101,6 +108,8 @@ let test_incremental_fuzz () =
           added := c :: !added)
         batch;
       if P.chance rng 0.3 then S.simplify_inplace ~budget:2_000 modern;
+      (* The default budget is the schedule the BMC engine runs. *)
+      if P.chance rng 0.3 then S.simplify_inplace modern;
       (* Keep a random prefix of the previous assumptions, then extend —
          matched prefixes are exactly what the warm start keeps decided. *)
       let keep = P.below rng (List.length !assumptions + 1) in
@@ -112,6 +121,18 @@ let test_incremental_fuzz () =
       assumptions := List.filteri (fun i _ -> i < keep) !assumptions @ tail;
       let rm = S.solve ~assumptions:!assumptions modern in
       let rl = S.solve ~assumptions:!assumptions legacy in
+      List.iter (Sat.Rup.add_clause ck) (S.clauses_since modern m);
+      List.iteri
+        (fun i c ->
+          if not (Sat.Rup.add_step ck c) then
+            Alcotest.failf "round %d step %d: proof step %d is not RUP" round
+              step i)
+        (S.proof_since modern m);
+      if (not (is_sat rm))
+         && not (Sat.Rup.check_step ck (List.map (fun a -> -a) !assumptions))
+      then
+        Alcotest.failf "round %d step %d: Unsat not certified by the proof"
+          round step;
       if is_sat rm <> is_sat rl then
         Alcotest.failf "round %d step %d: verdict mismatch under assumptions"
           round step;

@@ -184,13 +184,59 @@ let test_vivification () =
   S.add_clause s [ -p; r ];
   S.add_clause s [ -q; r ];
   S.add_clause s [ r; t; u ];
-  S.simplify_inplace s;
+  (* No search has run, so the default budget (a share of the search's
+     propagations) is zero: give this pass an explicit one. *)
+  S.simplify_inplace ~budget:1_000 s;
   let st = S.stats s in
   Alcotest.(check bool) "clause vivified" true (st.S.vivified >= 1);
   Alcotest.(check bool) "unit r recorded in proof" true
     (List.mem [ r ] (S.proof s));
   Alcotest.(check bool) "still SAT" true (is_sat (S.solve s));
   Alcotest.(check bool) "r forced at root" true (S.value s r)
+
+(* A large, easy random 3-SAT instance: the search is short, but a full
+   vivification pass over its clauses would cost many times the search. *)
+let easy_3sat () =
+  let rng = Testbench.Prng.create 0x5EED in
+  let nvars = 400 in
+  let s = S.create () in
+  ignore (fresh_vars s nvars);
+  for _ = 1 to 3 * nvars do
+    S.add_clause s
+      (List.init 3 (fun _ ->
+           let v = 1 + Testbench.Prng.below rng nvars in
+           if Testbench.Prng.bool rng then v else -v))
+  done;
+  s
+
+let propagations s = (S.stats s).S.propagations
+
+let test_inprocess_budget_share () =
+  (* The default budget is a share of the search since the last call; the
+     budget is checked between clauses, so the pass may overrun it by one
+     clause's probe (each variable propagated at most once under the probe)
+     plus the root-level propagation of the units it derives (each variable
+     at most once at the root). *)
+  let s = easy_3sat () in
+  Alcotest.(check bool) "SAT" true (is_sat (S.solve s));
+  let search = propagations s in
+  S.simplify_inplace s;
+  let spent = propagations s - search in
+  let bound = (search * S.inprocess_permille / 1000) + (2 * S.nb_vars s) in
+  if spent > bound then
+    Alcotest.failf "inprocessing spent %d propagations after a %d-propagation \
+                    search (bound %d)" spent search bound
+
+let test_inprocess_needs_search () =
+  (* A second call with no search since the first has nothing to spend. *)
+  let s = easy_3sat () in
+  Alcotest.(check bool) "SAT" true (is_sat (S.solve s));
+  S.simplify_inplace s;
+  let before = propagations s in
+  S.simplify_inplace s;
+  Alcotest.(check int) "no search, no inprocessing" 0
+    (propagations s - before);
+  Alcotest.(check bool) "still SAT" true (is_sat (S.solve s))
 
 let test_warm_assumptions () =
   (* Repeated solves whose assumption lists share prefixes: the warm start
@@ -534,6 +580,10 @@ let suite =
         test_tiered_reduction;
       Alcotest.test_case "EMA restarts" `Quick test_ema_restarts;
       Alcotest.test_case "clause vivification" `Quick test_vivification;
+      Alcotest.test_case "inprocessing budget is a share of the search"
+        `Quick test_inprocess_budget_share;
+      Alcotest.test_case "no search since the last call, no inprocessing"
+        `Quick test_inprocess_needs_search;
       Alcotest.test_case "warm assumption prefixes" `Quick
         test_warm_assumptions;
       Alcotest.test_case "proof certifies unsat" `Quick test_proof_unsat_certified;
